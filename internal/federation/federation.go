@@ -54,13 +54,13 @@ type QueryableSource interface {
 	RunQuery(q *query.Query) (res *Result, handled bool, err error)
 }
 
-// pushdownable reports whether a parsed query is eligible for
+// Pushdownable reports whether a parsed query is eligible for
 // QueryableSource pushdown. Queries without an explicit projection are
 // excluded (the scan path returns entity rows, which have no wire/native
 // equivalent), as are aggregates (rejected in federated queries anyway)
 // and ONLY scope (the common model's Scan is always hierarchy-scoped, so
 // a native ONLY would change semantics).
-func pushdownable(q *query.Query) bool {
+func Pushdownable(q *query.Query) bool {
 	return len(q.Select) > 0 && len(q.Aggregates) == 0 && !q.Only
 }
 
@@ -131,7 +131,7 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	if !found {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoClass, source, q.From)
 	}
-	if qs, can := s.(QueryableSource); can && pushdownable(q) {
+	if qs, can := s.(QueryableSource); can && Pushdownable(q) {
 		res, handled, err := qs.RunQuery(q)
 		if err != nil {
 			return nil, err
@@ -148,10 +148,15 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 			res.Cols = append(res.Cols, p.String())
 		}
 	}
+	// ORDER BY keys are read inside the Scan callback, while the member
+	// still holds whatever read context its entities dereference through.
+	var keys []model.Value
 	var evalErr error
+	limit := query.EarlyLimit(q)
 	err = s.Scan(q.From, func(ent Entity) bool {
+		get := lenient(ent)
 		if q.Where != nil {
-			ok, err := evalBool(q.Where, ent)
+			ok, err := query.EvalBool(q.Where, get)
 			if err != nil {
 				evalErr = err
 				return false
@@ -162,11 +167,15 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 		}
 		row := Row{Entity: ent}
 		for _, p := range q.Select {
-			v, _ := ent.Get(p.Steps)
+			v, _ := get(p.Steps)
 			row.Values = append(row.Values, v)
 		}
+		if q.OrderBy != nil {
+			k, _ := get(q.OrderBy.Steps)
+			keys = append(keys, k)
+		}
 		res.Rows = append(res.Rows, row)
-		return q.Limit == 0 || q.OrderBy != nil || len(res.Rows) < q.Limit
+		return limit == 0 || len(res.Rows) < limit
 	})
 	if err != nil {
 		return nil, err
@@ -174,137 +183,17 @@ func (f *Federation) Query(source, src string) (*Result, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	if q.OrderBy != nil {
-		keys := make([]model.Value, len(res.Rows))
-		for i, row := range res.Rows {
-			keys[i], _ = row.Entity.Get(q.OrderBy.Steps)
-		}
-		idxs := make([]int, len(res.Rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			c := model.Compare(keys[idxs[a]], keys[idxs[b]])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		sorted := make([]Row, len(res.Rows))
-		for i, j := range idxs {
-			sorted[i] = res.Rows[j]
-		}
-		res.Rows = sorted
-	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
+	res.Rows = query.OrderLimit(q, res.Rows, keys)
 	return res, nil
 }
 
-// evalBool evaluates a parsed predicate against an entity of the common
-// model.
-func evalBool(ex query.Expr, ent Entity) (bool, error) {
-	switch n := ex.(type) {
-	case *query.Binary:
-		switch n.Op {
-		case query.OpAnd:
-			l, err := evalBool(n.L, ent)
-			if err != nil || !l {
-				return false, err
-			}
-			return evalBool(n.R, ent)
-		case query.OpOr:
-			l, err := evalBool(n.L, ent)
-			if err != nil || l {
-				return l, err
-			}
-			return evalBool(n.R, ent)
-		case query.OpIn:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			list, ok := n.R.(*query.List)
-			if !ok {
-				return false, errors.New("federation: IN requires a literal list")
-			}
-			for _, item := range list.Items {
-				if model.Equal(lv, item) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case query.OpContains:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			rv, err := evalValue(n.R, ent)
-			if err != nil {
-				return false, err
-			}
-			return lv.Contains(rv), nil
-		default:
-			lv, err := evalValue(n.L, ent)
-			if err != nil {
-				return false, err
-			}
-			rv, err := evalValue(n.R, ent)
-			if err != nil {
-				return false, err
-			}
-			return cmp(n.Op, lv, rv), nil
-		}
-	case *query.Not:
-		v, err := evalBool(n.E, ent)
-		return !v, err
-	case *query.PathExpr:
-		v, _ := ent.Get(n.Path.Steps)
-		b, _ := v.AsBool()
-		return b, nil
-	case *query.Lit:
-		b, _ := n.V.AsBool()
-		return b, nil
-	default:
-		return false, fmt.Errorf("federation: cannot evaluate %T", ex)
-	}
-}
-
-func evalValue(ex query.Expr, ent Entity) (model.Value, error) {
-	switch n := ex.(type) {
-	case *query.Lit:
-		return n.V, nil
-	case *query.PathExpr:
-		v, _ := ent.Get(n.Path.Steps)
+// lenient adapts an entity to the query evaluator. The common model is
+// lenient toward heterogeneous members: an unknown attribute reads as
+// null rather than failing the query.
+func lenient(ent Entity) query.Getter {
+	return func(steps []string) (model.Value, error) {
+		v, _ := ent.Get(steps)
 		return v, nil
-	default:
-		return model.Null, fmt.Errorf("federation: cannot evaluate %T as value", ex)
-	}
-}
-
-func cmp(op query.BinOp, l, r model.Value) bool {
-	switch op {
-	case query.OpEq:
-		return model.Compare(l, r) == 0
-	case query.OpNe:
-		return model.Compare(l, r) != 0
-	}
-	if l.IsNull() || r.IsNull() {
-		return false
-	}
-	c := model.Compare(l, r)
-	switch op {
-	case query.OpLt:
-		return c < 0
-	case query.OpLe:
-		return c <= 0
-	case query.OpGt:
-		return c > 0
-	case query.OpGe:
-		return c >= 0
-	default:
-		return false
 	}
 }
 
@@ -329,7 +218,10 @@ func (s *OOSource) Classes() []string {
 }
 
 // Scan implements Source with hierarchy scope (a class exports its own
-// and its subclasses' instances — the common model is the OO model).
+// and its subclasses' instances — the common model is the OO model). The
+// scan and every path dereference of its entities read one snapshot
+// transaction, so the fallback never observes uncommitted writes and never
+// waits on a writer's locks.
 func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 	cl, err := s.db.Catalog.ClassByName(class)
 	if err != nil {
@@ -339,24 +231,16 @@ func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 	if err != nil {
 		return err
 	}
+	tx := s.db.BeginSnapshot()
+	defer tx.Abort()
+	stop := false
 	for _, c := range classes {
-		stop := false
-		err := s.db.Store.ScanClass(c, func(_ model.OID, data []byte) bool {
-			obj, derr := model.DecodeObject(data)
-			if derr != nil {
-				return true
-			}
-			if !fn(&ooEntity{src: s, obj: obj}) {
-				stop = true
-				return false
-			}
-			return true
+		err := tx.Scan(c, func(obj *model.Object) bool {
+			stop = !fn(&ooEntity{src: s, tx: tx, obj: obj})
+			return !stop
 		})
-		if err != nil {
+		if err != nil || stop {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
@@ -364,13 +248,13 @@ func (s *OOSource) Scan(class string, fn func(Entity) bool) error {
 
 // RunQuery implements QueryableSource: the query runs through the
 // engine's planner and executor (index selection, hierarchy scope) in a
-// fresh read transaction instead of the federation's per-entity
-// evaluator. Engine errors decline the pushdown rather than failing the
-// query: the engine is stricter than the lenient common model (an
-// unknown attribute is an error there, a null here), and declining keeps
-// the two paths semantically identical.
+// snapshot transaction instead of the federation's per-entity evaluator.
+// Engine errors decline the pushdown rather than failing the query: the
+// engine is stricter than the lenient common model (an unknown attribute
+// is an error there, a null here), and declining keeps the two paths
+// semantically identical.
 func (s *OOSource) RunQuery(q *query.Query) (*Result, bool, error) {
-	tx := s.db.Begin()
+	tx := s.db.BeginSnapshot()
 	defer tx.Abort()
 	eres, err := query.NewEngine(s.db).Run(tx, q.String())
 	if err != nil {
@@ -380,44 +264,39 @@ func (s *OOSource) RunQuery(q *query.Query) (*Result, bool, error) {
 	for _, row := range eres.Rows {
 		var ent Entity
 		if row.Object != nil {
-			ent = &ooEntity{src: s, obj: row.Object}
+			ent = &ooEntity{src: s, tx: tx, obj: row.Object}
 		}
 		res.Rows = append(res.Rows, Row{Entity: ent, Values: row.Values})
 	}
 	return res, true, nil
 }
 
+// ooEntity is one object read in the snapshot tx of the Scan or RunQuery
+// call that produced it.
 type ooEntity struct {
 	src *OOSource
+	tx  *core.Tx
 	obj *model.Object
 }
 
-// Get resolves nested paths through object references.
+// Get resolves a path by the common model's walk (query.WalkPath); an
+// unknown attribute is (Null, false).
 func (e *ooEntity) Get(path []string) (model.Value, bool) {
-	obj := e.obj
-	for i, step := range path {
-		a, err := e.src.db.Catalog.ResolveAttr(obj.Class(), step)
-		if err != nil {
-			return model.Null, false
-		}
-		v, ok := obj.Lookup(a.ID)
-		if !ok {
-			v = a.Default
-		}
-		if i == len(path)-1 {
-			return v, true
-		}
-		oid, ok := v.AsRef()
-		if !ok {
-			return model.Null, true // null mid-path: value is null
-		}
-		next, err := e.src.db.FetchObject(oid)
-		if err != nil {
-			return model.Null, true
-		}
-		obj = next
+	v, err := query.WalkPath(e.obj, path, e.src.db.AttrValue, e.deref)
+	return v, err == nil
+}
+
+// deref reads a referenced object in the entity's snapshot. Once the
+// producing call has returned and its snapshot ended, each dereference
+// reads a fresh snapshot instead.
+func (e *ooEntity) deref(oid model.OID) (*model.Object, bool) {
+	obj, err := e.tx.Fetch(oid)
+	if errors.Is(err, core.ErrTxnFinished) {
+		tx := e.src.db.BeginSnapshot()
+		defer tx.Abort()
+		obj, err = tx.Fetch(oid)
 	}
-	return model.Null, false
+	return obj, err == nil
 }
 
 // ---------------------------------------------------------------------

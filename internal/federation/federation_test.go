@@ -224,6 +224,14 @@ func TestOOSourceNestedPaths(t *testing.T) {
 	if err != nil || len(res.Rows) != 2 {
 		t.Fatalf("default rows = %d, %v", len(res.Rows), err)
 	}
+	// An entity row still dereferences after its query's snapshot ended.
+	res, err = f.Query("oo", `SELECT * FROM Emp WHERE name = 'alice'`)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("entity rows = %d, %v", len(res.Rows), err)
+	}
+	if v, ok := res.Rows[0].Entity.Get([]string{"dept", "city"}); !ok || !model.Equal(v, model.String("Austin")) {
+		t.Fatalf("entity dept.city = %v, %v", v, ok)
+	}
 	// Null mid-path is null, not an error.
 	res, err = f.Query("oo", `SELECT dept.city FROM Emp WHERE name = 'bob'`)
 	if err != nil || !res.Rows[0].Values[0].IsNull() {

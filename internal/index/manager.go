@@ -48,6 +48,12 @@ type Index struct {
 	Def
 	tree *Tree
 
+	// latch is the owning manager's lock. Maintenance writes the tree
+	// under its write side and probes read under its read side, so a
+	// probe that holds no class lock (a snapshot query) never walks a
+	// tree in the middle of an insert or a split.
+	latch *sync.RWMutex
+
 	// For nested indexes: rev[i] maps the OID of the object at path
 	// position i (1-based: the object reached after traversing Path[:i])
 	// to the set of head instances whose path instantiation passes through
@@ -112,6 +118,7 @@ func (m *Manager) Create(name string, class model.ClassID, path []model.AttrID, 
 			Hierarchy: hierarchy,
 		},
 		tree:     NewTree(),
+		latch:    &m.mu,
 		headKeys: make(map[model.OID][][]byte),
 	}
 	if len(path) > 1 {
@@ -397,6 +404,8 @@ func (m *Manager) pathKeys(idx *Index, head *model.Object) (keys [][]byte, chain
 // `ONLY C` passes just {C}; a hierarchy-scoped query passes the descendant
 // set or nil.
 func (idx *Index) Lookup(v model.Value, classes map[model.ClassID]bool) []model.OID {
+	idx.latch.RLock()
+	defer idx.latch.RUnlock()
 	return filterOIDs(idx.tree.Search(model.Key(v)), classes)
 }
 
@@ -411,6 +420,8 @@ func (idx *Index) Range(lo, hi model.Value, hiInclusive bool, classes map[model.
 		hik = model.Key(hi)
 	}
 	var out []model.OID
+	idx.latch.RLock()
+	defer idx.latch.RUnlock()
 	idx.tree.Range(lok, hik, hiInclusive, func(_ []byte, posts []model.OID) bool {
 		out = append(out, filterOIDs(posts, classes)...)
 		return true
@@ -419,7 +430,11 @@ func (idx *Index) Range(lo, hi model.Value, hiInclusive bool, classes map[model.
 }
 
 // Len returns the number of live (key, oid) entries.
-func (idx *Index) Len() int { return idx.tree.Len() }
+func (idx *Index) Len() int {
+	idx.latch.RLock()
+	defer idx.latch.RUnlock()
+	return idx.tree.Len()
+}
 
 func filterOIDs(posts []model.OID, classes map[model.ClassID]bool) []model.OID {
 	if classes == nil {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 
 	"oodb/internal/core"
@@ -178,4 +179,77 @@ func TestMethodMidPath(t *testing.T) {
 	got := f.run(t, `SELECT * FROM Vehicle WHERE manufacturer.bestPlant.city = 'Austin'`)
 	// Every vehicle with a manufacturer qualifies (the method is constant).
 	wantSet(t, got, "v1", "a1", "a2", "d1", "t1", "t2")
+}
+
+// TestSumExactInt pins SUM's accumulator, whole and split: exact in int64
+// while every input is Int, a Float sum once the Int sum would overflow
+// (never a wrapped Int), and AVG over no rows is null.
+func TestSumExactInt(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.DefineClass("N", nil,
+		schema.AttrSpec{Name: "grp", Domain: schema.ClassString},
+		schema.AttrSpec{Name: "v", Domain: schema.ClassInteger})
+	db.Do(func(tx *core.Tx) error {
+		for _, r := range []struct {
+			grp string
+			v   int64
+		}{{"exact", 1<<53 + 1}, {"exact", 2}, {"overflow", math.MaxInt64}, {"overflow", 1}} {
+			if _, err := tx.Insert("N", map[string]model.Value{
+				"grp": model.String(r.grp), "v": model.Int(r.v)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	eng := NewEngine(db)
+	tx := db.Begin()
+	defer tx.Commit()
+	const big = 1<<53 + 3
+	for _, c := range []struct {
+		src  string
+		want []model.Value
+	}{
+		{`SELECT SUM(v), AVG(v) FROM N WHERE grp = 'exact'`, []model.Value{model.Int(big), model.Float(big / 2.0)}},
+		{`SELECT SUM(v) FROM N WHERE grp = 'overflow'`, []model.Value{model.Float(math.MaxInt64 + 1.0)}},
+		{`SELECT SUM(v), AVG(v) FROM N WHERE grp = 'none'`, []model.Value{model.Int(0), model.Null}},
+	} {
+		res, err := eng.Run(tx, c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		for i, want := range c.want {
+			got := res.Rows[0].Values[i]
+			if got.Kind() != want.Kind() || model.Compare(got, want) != 0 {
+				t.Errorf("%s col %d: %v (%s), want %v (%s)", c.src, i, got, got.Kind(), want, want.Kind())
+			}
+		}
+	}
+
+	// The two-phase form: AVG ships as SUM+COUNT and the partial sums
+	// combine exactly.
+	shipped, combine := SplitAggregates([]AggItem{
+		{Func: AggSum, Path: &Path{Steps: []string{"v"}}},
+		{Func: AggAvg, Path: &Path{Steps: []string{"v"}}},
+		{Func: AggCount},
+	})
+	if len(shipped) != 4 || shipped[1].Func != AggSum || shipped[2].Func != AggCount {
+		t.Fatalf("shipped = %v", shipped)
+	}
+	got := combine([][]model.Value{
+		{model.Int(1<<53 + 1), model.Int(1<<53 + 1), model.Int(1), model.Int(1)},
+		{model.Int(2), model.Int(2), model.Int(1), model.Int(1)},
+	})
+	want := []model.Value{model.Int(big), model.Float(big / 2.0), model.Int(2)}
+	for i := range want {
+		if got[i].Kind() != want[i].Kind() || model.Compare(got[i], want[i]) != 0 {
+			t.Errorf("combined col %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if avg := combine(nil)[1]; !avg.IsNull() {
+		t.Errorf("AVG over no partitions = %v", avg)
+	}
 }

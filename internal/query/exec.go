@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,41 +87,24 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 		}
 	}
 
-	// ORDER BY.
-	if p.Query.OrderBy != nil {
-		sortSpan := span.Child("sort")
+	// ORDER BY, then LIMIT.
+	var keys []model.Value
+	var sortSpan *obs.Span // nil, a no-op, without ORDER BY
+	if ob := p.Query.OrderBy; ob != nil {
+		sortSpan = span.Child("sort")
 		sortSpan.Set("rows_in", int64(len(rows)))
-		keys := make([]model.Value, len(rows))
+		keys = make([]model.Value, len(rows))
 		for i := range rows {
-			v, err := e.evalPath(tx, rows[i].Object, p.Query.OrderBy.Steps)
+			v, err := e.evalPath(tx, rows[i].Object, ob.Steps)
 			if err != nil {
 				sortSpan.End()
 				return nil, err
 			}
 			keys[i] = v
 		}
-		// Sort rows and keys together through an index permutation.
-		idxs := make([]int, len(rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			c := model.Compare(keys[idxs[a]], keys[idxs[b]])
-			if p.Query.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		sorted := make([]Row, len(rows))
-		for i, j := range idxs {
-			sorted[i] = rows[j]
-		}
-		rows = sorted
-		sortSpan.End()
 	}
-	if p.Query.Limit > 0 && len(rows) > p.Query.Limit {
-		rows = rows[:p.Query.Limit]
-	}
+	rows = OrderLimit(p.Query, rows, keys)
+	sortSpan.End()
 
 	// Aggregates collapse the result to a single row.
 	if len(p.Query.Aggregates) > 0 {
@@ -170,21 +152,14 @@ func (e *Engine) execute(tx *core.Tx, p *Plan, span *obs.Span) (*Result, error) 
 	return res, nil
 }
 
-// earlyLimit returns the row count past which collection may stop, or 0
-// when every match is needed (no LIMIT, or ORDER BY must see all matches).
-func earlyLimit(p *Plan) int {
-	if p.Query.OrderBy == nil && p.Query.Limit > 0 {
-		return p.Query.Limit
-	}
-	return 0
-}
-
 // matches evaluates the residual predicate against one candidate.
 func (e *Engine) matches(tx *core.Tx, p *Plan, obj *model.Object) (bool, error) {
 	if p.Query.Where == nil {
 		return true, nil
 	}
-	return e.evalBool(tx, p.Query.Where, obj)
+	return EvalBool(p.Query.Where, func(steps []string) (model.Value, error) {
+		return e.evalPath(tx, obj, steps)
+	})
 }
 
 // deref resolves an interior reference for path evaluation. Snapshot
@@ -206,7 +181,7 @@ func (e *Engine) deref(tx *core.Tx, oid model.OID) (*model.Object, error) {
 // share nothing but the storage layer. Per-class results are concatenated
 // in scope order, which makes the output identical to a sequential pass.
 func (e *Engine) scanRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) {
-	limit := earlyLimit(p)
+	limit := EarlyLimit(p.Query)
 	if e.SerialScan || len(p.Scope) == 1 {
 		var rows []Row
 		for _, class := range p.Scope {
@@ -339,7 +314,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) 
 	for _, c := range p.Scope {
 		scopeSet[c] = true
 	}
-	limit := earlyLimit(p)
+	limit := EarlyLimit(p.Query)
 	var rows []Row
 	seen := make(map[model.OID]bool)
 
@@ -439,7 +414,7 @@ func (e *Engine) probeRows(tx *core.Tx, p *Plan, span *obs.Span) ([]Row, error) 
 	return rows, nil
 }
 
-// aggregate computes the aggregate select list over the matched rows.
+// aggregate folds the aggregate select list over the matched rows.
 // COUNT(*) counts rows; per-path aggregates skip nulls; set values
 // contribute each member. SUM and AVG require numeric inputs.
 func (e *Engine) aggregate(tx *core.Tx, p *Plan, rows []Row) (*Result, error) {
@@ -447,269 +422,44 @@ func (e *Engine) aggregate(tx *core.Tx, p *Plan, rows []Row) (*Result, error) {
 	vals := make([]model.Value, len(p.Query.Aggregates))
 	for i, agg := range p.Query.Aggregates {
 		res.Cols = append(res.Cols, agg.String())
+		f := fold{fn: agg.Func}
 		if agg.Path == nil { // COUNT(*)
-			vals[i] = model.Int(int64(len(rows)))
-			continue
-		}
-		var count int64
-		var sum float64
-		var allInt = true
-		var best model.Value
-		for _, row := range rows {
-			v, err := e.evalPath(tx, row.Object, agg.Path.Steps)
-			if err != nil {
-				return nil, err
-			}
-			members := []model.Value{v}
-			if set, ok := v.AsSet(); ok {
-				members = set
-			}
-			for _, m := range members {
-				if m.IsNull() {
-					continue
+			f.n = int64(len(rows))
+		} else {
+			for _, row := range rows {
+				v, err := e.evalPath(tx, row.Object, agg.Path.Steps)
+				if err != nil {
+					return nil, err
 				}
-				count++
-				switch agg.Func {
-				case AggSum, AggAvg:
-					f, ok := m.AsFloat()
-					if !ok {
-						return nil, fmt.Errorf("query: %s over non-numeric value %s", agg.Func, m)
-					}
-					if m.Kind() != model.KindInt {
-						allInt = false
-					}
-					sum += f
-				case AggMin:
-					if best.IsNull() || model.Compare(m, best) < 0 {
-						best = m
-					}
-				case AggMax:
-					if best.IsNull() || model.Compare(m, best) > 0 {
-						best = m
-					}
+				if err := f.add(&v); err != nil {
+					return nil, err
 				}
 			}
 		}
-		switch agg.Func {
-		case AggCount:
-			vals[i] = model.Int(count)
-		case AggSum:
-			if allInt {
-				vals[i] = model.Int(int64(sum))
-			} else {
-				vals[i] = model.Float(sum)
-			}
-		case AggAvg:
-			if count == 0 {
-				vals[i] = model.Null
-			} else {
-				vals[i] = model.Float(sum / float64(count))
-			}
-		case AggMin, AggMax:
-			vals[i] = best
-		}
+		vals[i] = f.value()
 	}
 	res.Rows = []Row{{Values: vals}}
 	return res, nil
 }
 
-// evalBool evaluates a predicate against one candidate object.
-func (e *Engine) evalBool(tx *core.Tx, ex Expr, obj *model.Object) (bool, error) {
-	switch n := ex.(type) {
-	case *Binary:
-		switch n.Op {
-		case OpAnd:
-			l, err := e.evalBool(tx, n.L, obj)
-			if err != nil || !l {
-				return false, err
-			}
-			return e.evalBool(tx, n.R, obj)
-		case OpOr:
-			l, err := e.evalBool(tx, n.L, obj)
-			if err != nil || l {
-				return l, err
-			}
-			return e.evalBool(tx, n.R, obj)
-		case OpIn:
-			lv, err := e.evalValue(tx, n.L, obj)
-			if err != nil {
-				return false, err
-			}
-			list, ok := n.R.(*List)
-			if !ok {
-				return false, fmt.Errorf("query: IN requires a literal list")
-			}
-			for _, item := range list.Items {
-				if existsEqual(lv, item) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case OpContains:
-			lv, err := e.evalValue(tx, n.L, obj)
-			if err != nil {
-				return false, err
-			}
-			rv, err := e.evalValue(tx, n.R, obj)
-			if err != nil {
-				return false, err
-			}
-			return lv.Contains(rv), nil
-		default:
-			lv, err := e.evalValue(tx, n.L, obj)
-			if err != nil {
-				return false, err
-			}
-			rv, err := e.evalValue(tx, n.R, obj)
-			if err != nil {
-				return false, err
-			}
-			return compareOp(n.Op, lv, rv), nil
-		}
-	case *Not:
-		v, err := e.evalBool(tx, n.E, obj)
-		return !v, err
-	case *PathExpr:
-		v, err := e.evalValue(tx, n, obj)
-		if err != nil {
-			return false, err
-		}
-		b, _ := v.AsBool()
-		return b, nil
-	case *Lit:
-		b, _ := n.V.AsBool()
-		return b, nil
-	default:
-		return false, fmt.Errorf("query: cannot evaluate %T as boolean", ex)
-	}
-}
-
-// compareOp applies a comparison with SQL-style null semantics: ordering
-// comparisons with null are false; equality treats null = null as true
-// (needed for `path = null` existence tests). Multi-valued operands
-// (set-valued attributes, paths through set-valued references) compare
-// existentially.
-func compareOp(op BinOp, l, r model.Value) bool {
-	if lm, ok := l.AsSet(); ok && r.Kind() != model.KindSet {
-		for _, m := range lm {
-			if compareOp(op, m, r) {
-				return true
-			}
-		}
-		return false
-	}
-	switch op {
-	case OpEq:
-		return model.Compare(l, r) == 0
-	case OpNe:
-		return model.Compare(l, r) != 0
-	}
-	if l.IsNull() || r.IsNull() {
-		return false
-	}
-	c := model.Compare(l, r)
-	switch op {
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	default:
-		return false
-	}
-}
-
-// existsEqual is existential equality for IN.
-func existsEqual(l, r model.Value) bool { return compareOp(OpEq, l, r) }
-
-// evalValue evaluates an operand expression to a value.
-func (e *Engine) evalValue(tx *core.Tx, ex Expr, obj *model.Object) (model.Value, error) {
-	switch n := ex.(type) {
-	case *Lit:
-		return n.V, nil
-	case *PathExpr:
-		return e.evalPath(tx, obj, n.Path.Steps)
-	default:
-		return model.Null, fmt.Errorf("query: cannot evaluate %T as value", ex)
-	}
-}
-
-// evalPath walks a path from obj: each step reads an attribute (stored
-// value or class default) or invokes a method as a derived attribute.
-// Interior references are dereferenced; set-valued steps fan out and the
-// result is the set of terminal values (existential comparison semantics).
-// A null or dangling step yields null.
+// evalPath walks a path from obj (WalkPath): each step reads an attribute
+// or invokes a method, and interior references dereference through tx.
 func (e *Engine) evalPath(tx *core.Tx, obj *model.Object, steps []string) (model.Value, error) {
 	// Single-step fast path: the common `WHERE attr op k` shape. Scans
-	// evaluate this once per object, so the general walk below (two slice
-	// allocations per call) turns hot loops GC-bound.
+	// evaluate it once per object, so it must not allocate, and the
+	// indirect calls of the general walk cost ~10% of a scan.
 	if len(steps) == 1 {
 		v, err := e.stepValue(obj, steps[0])
 		if err != nil {
 			return model.Null, err
 		}
-		if members, ok := v.AsSet(); ok {
-			// Match the general walk: flatten, so a singleton set yields
-			// its member and an empty set yields null.
-			switch len(members) {
-			case 0:
-				return model.Null, nil
-			case 1:
-				return members[0], nil
-			}
-		}
+		flatten(&v)
 		return v, nil
 	}
-	cur := []*model.Object{obj}
-	for i, step := range steps {
-		last := i == len(steps)-1
-		var vals []model.Value
-		for _, o := range cur {
-			v, err := e.stepValue(o, step)
-			if err != nil {
-				return model.Null, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if members, ok := v.AsSet(); ok {
-				vals = append(vals, members...)
-			} else {
-				vals = append(vals, v)
-			}
-		}
-		if last {
-			switch len(vals) {
-			case 0:
-				return model.Null, nil
-			case 1:
-				return vals[0], nil
-			default:
-				return model.Set(vals...), nil
-			}
-		}
-		// Interior: dereference references.
-		next := cur[:0:0]
-		for _, v := range vals {
-			oid, ok := v.AsRef()
-			if !ok {
-				continue // non-reference interior value dead-ends
-			}
-			o, err := e.deref(tx, oid)
-			if err != nil {
-				continue // dangling reference dead-ends
-			}
-			next = append(next, o)
-		}
-		cur = next
-		if len(cur) == 0 {
-			return model.Null, nil
-		}
-	}
-	return model.Null, nil
+	return WalkPath(obj, steps, e.stepValue, func(oid model.OID) (*model.Object, bool) {
+		o, err := e.deref(tx, oid)
+		return o, err == nil
+	})
 }
 
 // stepValue resolves one path step on one object: attribute first, then

@@ -416,6 +416,7 @@ func TestContainsOnSetAttribute(t *testing.T) {
 		tx.Insert("Doc", map[string]model.Value{
 			"title": model.String("two"),
 			"tags":  model.Set(model.String("ai"))})
+		tx.Insert("Doc", map[string]model.Value{"title": model.String("three")})
 		return nil
 	})
 	eng := NewEngine(db)
@@ -430,6 +431,22 @@ func TestContainsOnSetAttribute(t *testing.T) {
 	}
 	if s, _ := res.Rows[0].Values[0].AsString(); s != "one" {
 		t.Errorf("title = %v", res.Rows[0].Values[0])
+	}
+	// A one-member set reads as its member and still contains it; null is
+	// a member of nothing, not even of a missing value; a set operand is
+	// contained when each of its members is.
+	for q, want := range map[string]int{
+		`SELECT title FROM Doc WHERE tags CONTAINS 'ai'`: 1,
+		`SELECT title FROM Doc WHERE tags CONTAINS null`: 0,
+		`SELECT title FROM Doc WHERE tags CONTAINS tags`: 2,
+	} {
+		res, err := eng.Run(tx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Errorf("%s: rows = %d, want %d", q, len(res.Rows), want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 
 	"oodb/internal/federation"
 	"oodb/internal/model"
@@ -14,7 +15,7 @@ import (
 // speaks the kimw wire protocol through a Redialer, so a member that
 // restarts (or a connection that latches closed) heals transparently.
 //
-// Two evaluation paths, mirroring OOSource:
+// Two evaluation paths, as for OOSource:
 //
 //   - RunQuery (federation.QueryableSource) ships the whole parsed query
 //     to the member as one wire query — predicate pushdown. The WHERE
@@ -100,7 +101,7 @@ func (s *RemoteSource) Scan(class string, fn func(federation.Entity) bool) error
 // availability errors are real errors: the fallback path would fail the
 // same way, so failing fast is honest.
 func (s *RemoteSource) RunQuery(q *query.Query) (*federation.Result, bool, error) {
-	if len(q.Select) == 0 || len(q.Aggregates) > 0 || q.Only {
+	if !federation.Pushdownable(q) {
 		return nil, false, nil
 	}
 	var wire *client.Result
@@ -126,6 +127,17 @@ func (s *RemoteSource) RunQuery(q *query.Query) (*federation.Result, bool, error
 	return res, true, nil
 }
 
+// fetch reads one object over the wire.
+func (s *RemoteSource) fetch(oid model.OID) (*client.Object, bool) {
+	var obj *client.Object
+	err := s.rd.DoIdempotent(func(c *client.Client) error {
+		var err error
+		obj, err = c.Fetch(oid)
+		return err
+	})
+	return obj, err == nil
+}
+
 // remoteEntity is one remote object viewed through the common model. The
 // object body is fetched lazily on the first Get and cached; nested path
 // steps dereference with further fetches.
@@ -135,47 +147,26 @@ type remoteEntity struct {
 	obj *client.Object
 }
 
-func (e *remoteEntity) fetchInto() bool {
-	if e.obj != nil {
-		return true
-	}
-	var obj *client.Object
-	err := e.src.rd.DoIdempotent(func(c *client.Client) error {
-		var err error
-		obj, err = c.Fetch(e.oid)
-		return err
-	})
-	if err != nil {
-		return false
-	}
-	e.obj = obj
-	return true
-}
-
-// Get resolves an attribute path, mirroring ooEntity: an unknown
-// attribute is (Null, false); a null mid-path is (Null, true).
+// Get resolves a path by the common model's walk (query.WalkPath); an
+// unknown attribute, or an object that cannot be fetched, is (Null, false).
 func (e *remoteEntity) Get(path []string) (model.Value, bool) {
-	if !e.fetchInto() {
-		return model.Null, false
-	}
-	obj := e.obj
-	for i, step := range path {
-		v, ok := obj.Attrs[step]
+	if e.obj == nil {
+		obj, ok := e.src.fetch(e.oid)
 		if !ok {
 			return model.Null, false
 		}
-		if i == len(path)-1 {
-			return v, true
-		}
-		oid, ok := v.AsRef()
-		if !ok {
-			return model.Null, true // null mid-path: value is null
-		}
-		next := &remoteEntity{src: e.src, oid: oid}
-		if !next.fetchInto() {
-			return model.Null, true
-		}
-		obj = next.obj
+		e.obj = obj
 	}
-	return model.Null, false
+	v, err := query.WalkPath(e.obj, path, remoteAttr, e.src.fetch)
+	return v, err == nil
+}
+
+// remoteAttr reads one attribute of a fetched object; a fetch carries
+// every effective attribute, so a missing one is unknown to its class.
+func remoteAttr(o *client.Object, name string) (model.Value, error) {
+	v, ok := o.Attrs[name]
+	if !ok {
+		return model.Null, fmt.Errorf("shard: %s has no attribute %q", o.Class, name)
+	}
+	return v, nil
 }

@@ -8,6 +8,7 @@ import (
 	"oodb"
 	"oodb/internal/federation"
 	"oodb/internal/model"
+	"oodb/internal/query"
 	"oodb/internal/server"
 	"oodb/internal/server/client"
 )
@@ -27,39 +28,60 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 	}
 	defer db.Close()
 	if _, err := db.DefineClass("Dept", nil,
-		oodb.Attr{Name: "city", Domain: "String"}); err != nil {
+		oodb.Attr{Name: "city", Domain: "String"},
+		oodb.Attr{Name: "label", Domain: "String"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.DefineClass("Emp", nil,
 		oodb.Attr{Name: "name", Domain: "String"},
 		oodb.Attr{Name: "salary", Domain: "Integer"},
-		oodb.Attr{Name: "dept", Domain: "Dept"}); err != nil {
+		oodb.Attr{Name: "dept", Domain: "Dept"},
+		oodb.Attr{Name: "tags", Domain: "String", SetValued: true},
+		oodb.Attr{Name: "links", Domain: "Dept", SetValued: true},
+		oodb.Attr{Name: "score", Domain: "Float"}); err != nil {
 		t.Fatal(err)
 	}
+	var gone model.OID // deleted after the load: references to it dangle
 	err = db.Do(func(tx *oodb.Tx) error {
-		d1, err := tx.Insert("Dept", map[string]model.Value{"city": model.String("Austin")})
+		d1, err := tx.Insert("Dept", map[string]model.Value{
+			"city": model.String("Austin"), "label": model.String("x")})
 		if err != nil {
 			return err
 		}
-		d2, err := tx.Insert("Dept", map[string]model.Value{"city": model.String("Detroit")})
+		d2, err := tx.Insert("Dept", map[string]model.Value{
+			"city": model.String("Detroit"), "label": model.String("y")})
 		if err != nil {
 			return err
 		}
-		for i, spec := range []struct {
+		d3, err := tx.Insert("Dept", map[string]model.Value{
+			"city": model.String("Paris"), "label": model.String("y")})
+		if err != nil {
+			return err
+		}
+		if gone, err = tx.Insert("Dept", map[string]model.Value{"city": model.String("Gone")}); err != nil {
+			return err
+		}
+		red, blue := model.String("red"), model.String("blue")
+		for _, spec := range []struct {
 			name   string
 			salary int64
 			dept   model.Value
+			tags   model.Value
+			links  model.Value
 		}{
-			{"alice", 120, model.Ref(d1)},
-			{"bob", 90, model.Ref(d2)},
-			{"carol", 130, model.Ref(d1)},
-			{"dave", 70, model.Null}, // no dept: null mid-path
+			{"alice", 120, model.Ref(d1), model.Set(red, blue), model.Set(model.Ref(d1), model.Ref(d2))},
+			{"bob", 90, model.Ref(d2), model.Set(red), model.Set(model.Ref(d2), model.Ref(d3))},
+			{"carol", 130, model.Ref(d1), model.Set(), model.Set(model.Ref(gone), model.Ref(d3))},
+			{"dave", 70, model.Null, model.Null, model.Null}, // no dept: null mid-path
+			{"erin", 100, model.Ref(gone), model.Set(blue), model.Set()},
 		} {
-			_ = i
 			attrs := map[string]model.Value{
-				"name": model.String(spec.name), "salary": model.Int(spec.salary)}
-			if !spec.dept.IsNull() {
-				attrs["dept"] = spec.dept
+				"name": model.String(spec.name), "salary": model.Int(spec.salary),
+				"score": model.Float(float64(spec.salary) / 40)}
+			for k, v := range map[string]model.Value{"dept": spec.dept, "tags": spec.tags, "links": spec.links} {
+				if !v.IsNull() {
+					attrs[k] = v
+				}
 			}
 			if _, err := tx.Insert("Emp", attrs); err != nil {
 				return err
@@ -68,6 +90,9 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Do(func(tx *oodb.Tx) error { return tx.Delete(gone) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,8 +117,26 @@ func TestRemoteSourceFederationParity(t *testing.T) {
 		`SELECT name, dept.city FROM Emp WHERE dept.city = 'Austin' ORDER BY name`,
 		`SELECT dept.city FROM Emp ORDER BY name`, // null mid-path projects as null
 		`SELECT name FROM Emp ORDER BY name LIMIT 2`,
+		// The set-valued value domain, set-valued references, dangling
+		// references, and Int/Float comparisons.
+		`SELECT name, tags FROM Emp WHERE tags = 'red' ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags != 'red' ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags IN ('blue') ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags = null ORDER BY name`,
+		`SELECT name FROM Emp WHERE tags CONTAINS 'red' ORDER BY name`,
+		`SELECT name FROM Emp WHERE NOT tags CONTAINS null ORDER BY name`,
+		`SELECT name, links.label FROM Emp WHERE links.label = 'y' ORDER BY name`,
+		`SELECT name, tags, links.label, links.city, dept.city, score FROM Emp ORDER BY name`,
+		`SELECT name FROM Emp WHERE score > 2.5 AND salary < 125.5 ORDER BY name`,
 	}
 	for _, qsrc := range queries {
+		q, err := query.Parse(qsrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, handled, err := remote.RunQuery(q); err != nil || !handled {
+			t.Fatalf("%q: the member declined the pushdown (%v): the comparison would prove nothing", qsrc, err)
+		}
 		var encoded [][]byte
 		for _, f := range []*federation.Federation{embedded, pushed, scanned} {
 			res, err := f.Query("m", qsrc)

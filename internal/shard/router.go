@@ -624,19 +624,16 @@ func (r *Router) queryRows(q *query.Query) (*Result, error) {
 	}
 
 	// Deterministic merge: concatenation above followed member-index
-	// order; a stable sort on the shipped key keeps that order for ties.
-	if q.OrderBy != nil && orderIdx >= 0 {
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			c := model.Compare(res.Rows[a].Values[orderIdx], res.Rows[b].Values[orderIdx])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
+	// order, and OrderLimit's stable sort on the shipped key keeps that
+	// order for ties.
+	var keys []model.Value
+	if q.OrderBy != nil {
+		keys = make([]model.Value, len(res.Rows))
+		for i, row := range res.Rows {
+			keys[i] = row.Values[orderIdx]
+		}
 	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
+	res.Rows = query.OrderLimit(q, res.Rows, keys)
 	// res.Cols is nil when no member survived: there is nothing to strip,
 	// and slicing would panic instead of reaching the PartialError below.
 	if stripKey && len(res.Cols) > 0 {
@@ -652,26 +649,13 @@ func (r *Router) queryRows(q *query.Query) (*Result, error) {
 	return res, nil
 }
 
-// queryAggregate handles aggregate queries: AVG ships as SUM+COUNT (a
-// mean of per-member means would be wrong under skew); everything else
-// ships verbatim and combines arithmetically.
+// queryAggregate handles aggregate queries as a two-phase aggregation
+// (query.SplitAggregates): every member folds its share, AVG shipping as
+// SUM+COUNT, and the router combines the partial rows.
 func (r *Router) queryAggregate(q *query.Query) (*Result, error) {
 	shipped := *q
-	shipped.Aggregates = nil
-	// plan[i] locates the shipped column(s) feeding original aggregate i.
-	type aggPlan struct{ a, b int }
-	plan := make([]aggPlan, len(q.Aggregates))
-	for i, item := range q.Aggregates {
-		if item.Func == query.AggAvg {
-			plan[i] = aggPlan{a: len(shipped.Aggregates), b: len(shipped.Aggregates) + 1}
-			shipped.Aggregates = append(shipped.Aggregates,
-				query.AggItem{Func: query.AggSum, Path: item.Path},
-				query.AggItem{Func: query.AggCount, Path: item.Path})
-		} else {
-			plan[i] = aggPlan{a: len(shipped.Aggregates), b: -1}
-			shipped.Aggregates = append(shipped.Aggregates, item)
-		}
-	}
+	var combine func([][]model.Value) []model.Value
+	shipped.Aggregates, combine = query.SplitAggregates(q.Aggregates)
 
 	members, err := r.membersFor(q.From)
 	if err != nil {
@@ -695,77 +679,13 @@ func (r *Router) queryAggregate(q *query.Query) (*Result, error) {
 		parts = append(parts, mr.res.Rows[0].Values)
 	}
 
-	res := &Result{Rows: []Row{{}}}
-	vals := make([]model.Value, len(q.Aggregates))
-	for i, item := range q.Aggregates {
+	res := &Result{Rows: []Row{{Values: combine(parts)}}}
+	for _, item := range q.Aggregates {
 		res.Cols = append(res.Cols, item.String())
-		vals[i] = combineAgg(item.Func, plan[i].a, plan[i].b, parts)
 	}
-	res.Rows[0].Values = vals
 	if len(failed) > 0 {
 		mScatterPartial.Add(1)
 		return nil, &PartialError{Result: res, Failed: failed}
 	}
 	return res, nil
-}
-
-// combineAgg folds one aggregate's per-member values, mirroring the
-// engine's semantics (internal/query aggregate): SUM stays Int when
-// every part is Int; MIN/MAX skip nulls; AVG over zero rows is Null.
-func combineAgg(f query.AggFunc, a, b int, parts [][]model.Value) model.Value {
-	switch f {
-	case query.AggCount:
-		var n int64
-		for _, p := range parts {
-			if i, ok := p[a].AsInt(); ok {
-				n += i
-			}
-		}
-		return model.Int(n)
-	case query.AggSum:
-		var sum float64
-		allInt := true
-		for _, p := range parts {
-			v := p[a]
-			if v.Kind() != model.KindInt {
-				allInt = false
-			}
-			if f, ok := v.AsFloat(); ok {
-				sum += f
-			}
-		}
-		if allInt {
-			return model.Int(int64(sum))
-		}
-		return model.Float(sum)
-	case query.AggAvg:
-		var sum float64
-		var n int64
-		for _, p := range parts {
-			if f, ok := p[a].AsFloat(); ok {
-				sum += f
-			}
-			if i, ok := p[b].AsInt(); ok {
-				n += i
-			}
-		}
-		if n == 0 {
-			return model.Null
-		}
-		return model.Float(sum / float64(n))
-	default: // MIN, MAX
-		best := model.Null
-		for _, p := range parts {
-			v := p[a]
-			if v.IsNull() {
-				continue
-			}
-			if best.IsNull() ||
-				(f == query.AggMin && model.Compare(v, best) < 0) ||
-				(f == query.AggMax && model.Compare(v, best) > 0) {
-				best = v
-			}
-		}
-		return best
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
 	"time"
@@ -22,6 +23,10 @@ func defineParts(t *testing.T, db *oodb.DB) {
 		oodb.Attr{Name: "weight", Domain: "Integer"},
 		oodb.Attr{Name: "tag", Domain: "String"},
 		oodb.Attr{Name: "mate", Domain: "Part"},
+		oodb.Attr{Name: "tags", Domain: "String", SetValued: true},
+		oodb.Attr{Name: "sizes", Domain: "Integer", SetValued: true},
+		oodb.Attr{Name: "links", Domain: "Part", SetValued: true},
+		oodb.Attr{Name: "score", Domain: "Float"},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +87,22 @@ func partAttrs(i int) map[string]model.Value {
 	}
 }
 
+// domainAttrs adds part i's set-valued and Float attributes: sets of two
+// members, of one, empty sets, and no value at all.
+func domainAttrs(i int, attrs map[string]model.Value) {
+	red, blue := model.String("red"), model.String("blue")
+	n := model.Int(int64(i))
+	tags := []model.Value{model.Set(red, blue), model.Set(red), model.Set(), model.Null, model.Set(blue)}[i%5]
+	sizes := []model.Value{model.Set(n, model.Int(int64(i+1))), model.Set(n), model.Set(), model.Null}[i%4]
+	if !tags.IsNull() {
+		attrs["tags"] = tags
+	}
+	if !sizes.IsNull() {
+		attrs["sizes"] = sizes
+	}
+	attrs["score"] = model.Float(float64(i) / 4)
+}
+
 // encodeSortedRows fingerprints a result's values order-insensitively:
 // each row's values are encoded canonically, rows are sorted, and the
 // concatenation compared. OIDs differ between setups, so values only.
@@ -111,7 +132,7 @@ func shardRowValues(res *Result) [][]model.Value {
 // answers every query shape identically (values, not OIDs).
 func TestScatterParitySingleDB(t *testing.T) {
 	const n = 120
-	r, _, _ := startMembers(t, 4, defineParts)
+	r, _, dbs := startMembers(t, 4, defineParts)
 
 	single, err := oodb.Open(t.TempDir(), oodb.Options{})
 	if err != nil {
@@ -120,15 +141,41 @@ func TestScatterParitySingleDB(t *testing.T) {
 	defer single.Close()
 	defineParts(t, single)
 
-	owners := make(map[int]int) // member -> objects placed
+	owners := make(map[int]int)  // member -> objects placed
+	var gOIDs, sOIDs []model.OID // part i's OID in the shard set and in single
 	for i := 0; i < n; i++ {
 		attrs := partAttrs(i)
+		domainAttrs(i, attrs)
+		sattrs := maps.Clone(attrs)
+		if i%6 == 5 {
+			// A set of references to the two latest co-located parts
+			// (references never cross members).
+			latest := make(map[int]int) // member -> latest part
+			for j := len(gOIDs) - 1; j >= 0; j-- {
+				m, _ := splitOID(gOIDs[j])
+				if k, ok := latest[m]; ok {
+					attrs["links"] = model.Set(model.Ref(gOIDs[j]), model.Ref(gOIDs[k]))
+					sattrs["links"] = model.Set(model.Ref(sOIDs[j]), model.Ref(sOIDs[k]))
+					break
+				}
+				latest[m] = j
+			}
+		}
 		g, err := r.Insert("Part", attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m, _ := splitOID(g)
 		owners[m]++
+		gOIDs = append(gOIDs, g)
+		sOIDs = append(sOIDs, insertSingle(t, single, "Part", sattrs))
+	}
+	// Two parts whose exact Int sum needs all 64 bits, on two members.
+	bigs := []int64{1<<53 + 1, 2}
+	for i, v := range bigs {
+		attrs := map[string]model.Value{
+			"name": model.String(fmt.Sprintf("big%d", i)), "sizes": model.Set(model.Int(v))}
+		insertSingle(t, dbs[i], "Part", attrs)
 		insertSingle(t, single, "Part", attrs)
 	}
 	// The ring must actually partition: every member holds a share.
@@ -141,6 +188,14 @@ func TestScatterParitySingleDB(t *testing.T) {
 		`SELECT name FROM Part WHERE weight >= 30 AND tag = 'x' ORDER BY name DESC`,
 		`SELECT name, tag FROM Part ORDER BY name LIMIT 17`,
 		`SELECT name FROM Part WHERE tag = 'y' ORDER BY name LIMIT 5`,
+		// The set-valued value domain, set-valued references and Int/Float
+		// comparisons.
+		`SELECT name, tags FROM Part WHERE tags = 'red' ORDER BY name`,
+		`SELECT name FROM Part WHERE tags != 'red' ORDER BY name`,
+		`SELECT name FROM Part WHERE tags IN ('blue') ORDER BY name`,
+		`SELECT name FROM Part WHERE tags = null ORDER BY name LIMIT 9`,
+		`SELECT name, links.name FROM Part WHERE links.weight > 20 ORDER BY name`,
+		`SELECT name, tags, sizes, links.name, score FROM Part WHERE score > 10 AND weight < 40.5 ORDER BY name`,
 	}
 	for _, qsrc := range ordered {
 		sres, err := r.Query(qsrc)
@@ -195,11 +250,20 @@ func TestScatterParitySingleDB(t *testing.T) {
 
 	// Aggregates combine across members: COUNT/SUM add, MIN/MAX compare,
 	// AVG recomputed from shipped SUM+COUNT.
-	aggs := []string{
-		`SELECT COUNT(*), SUM(weight), MIN(weight), MAX(weight), AVG(weight) FROM Part`,
-		`SELECT COUNT(weight), AVG(weight) FROM Part WHERE tag = 'x'`,
+	// want, when set, is the first column's exact value.
+	aggs := []struct {
+		src  string
+		want model.Value
+	}{
+		{src: `SELECT COUNT(*), SUM(weight), MIN(weight), MAX(weight), AVG(weight) FROM Part`},
+		{src: `SELECT COUNT(weight), AVG(weight) FROM Part WHERE tag = 'x'`},
+		// Set members each count; SUM stays an exact Int.
+		{src: `SELECT SUM(sizes), AVG(sizes), COUNT(sizes), MIN(tags), MAX(tags) FROM Part WHERE weight >= 0`},
+		{src: `SELECT SUM(score), AVG(score), MIN(score) FROM Part WHERE weight < 50`},
+		{src: `SELECT SUM(sizes), AVG(sizes) FROM Part WHERE name < 'c'`, want: model.Int(1<<53 + 3)},
 	}
-	for _, qsrc := range aggs {
+	for _, agg := range aggs {
+		qsrc := agg.src
 		sres, err := r.Query(qsrc)
 		if err != nil {
 			t.Fatalf("shard %q: %v", qsrc, err)
@@ -220,6 +284,10 @@ func TestScatterParitySingleDB(t *testing.T) {
 					sres.Rows[0].Values[j], bres.Rows[0].Values[j])
 			}
 		}
+		if got := sres.Rows[0].Values[0]; !agg.want.IsNull() &&
+			(got.Kind() != agg.want.Kind() || model.Compare(got, agg.want) != 0) {
+			t.Fatalf("%q: %v, want %v", qsrc, got, agg.want)
+		}
 	}
 
 	// SELECT * scatters too: row count parity (identities differ by
@@ -228,8 +296,8 @@ func TestScatterParitySingleDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sres.Rows) != n {
-		t.Fatalf("SELECT *: %d rows, want %d", len(sres.Rows), n)
+	if len(sres.Rows) != n+len(bigs) {
+		t.Fatalf("SELECT *: %d rows, want %d", len(sres.Rows), n+len(bigs))
 	}
 	// ORDER BY without a projection cannot be merged; typed refusal.
 	if _, err := r.Query(`SELECT * FROM Part ORDER BY name`); !errors.Is(err, ErrUnsupported) {
